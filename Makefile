@@ -81,12 +81,16 @@ chaos:
 		./internal/resilience/ ./internal/webiq/ ./internal/server/
 
 # Short fuzz passes: the deep-web response-analysis heuristics (seeded
-# with the injector's malformed-page corpus) and the binary snapshot
+# with the injector's malformed-page corpus), the binary snapshot
 # loader (seeded with a real snapshot plus truncated/bit-flipped
-# variants — corruption must produce an error, never a panic).
+# variants — corruption must produce an error, never a panic), the
+# number scanner against the regular expressions it replaced, and the
+# indexed donor-similarity tests against the pairwise ones.
 fuzz:
 	$(GO) test -fuzz FuzzAnalyzeResponse -fuzztime 30s ./internal/deepweb/
 	$(GO) test -fuzz FuzzLoadBytes -fuzztime 30s ./internal/snapshot/
+	$(GO) test -fuzz FuzzNumericKind -fuzztime 30s ./internal/sim/
+	$(GO) test -fuzz FuzzDonorSimilarity -fuzztime 30s ./internal/webiq/
 
 # Build the world snapshot webiq-serve -snapshot boots from, then
 # re-verify every checksum and structural invariant.

@@ -16,6 +16,7 @@ import (
 
 	"webiq/internal/htmlform"
 	"webiq/internal/kb"
+	"webiq/internal/nlp"
 	"webiq/internal/obs"
 	"webiq/internal/schema"
 )
@@ -48,13 +49,61 @@ func DefaultConfig() Config {
 // Source is one Deep-Web data source.
 type Source struct {
 	ifc *schema.Interface
-	// concepts maps attribute ID to its generating concept.
-	concepts map[string]*kb.Concept
+	// cols maps attribute ID to the attribute's column: its generating
+	// concept and the value index probes read.
+	cols map[string]*column
 	// table holds the backing records: attribute ID -> value.
 	table []map[string]string
 	// partialOK reports whether the source accepts partial queries.
 	partialOK bool
 	pool      *Pool
+}
+
+// maxMatches caps the rows a probe selects; a result page lists the
+// first few of them and reports the count.
+const maxMatches = 10
+
+// column is one attribute of a source: the concept that generates its
+// values and the index of its backing-table column. The index is built
+// on the attribute's first probe, never with the pool, so building a
+// pool costs what it always has; once built it is read without a lock.
+type column struct {
+	concept *kb.Concept
+	once    sync.Once
+	// rows maps each lowered value of a string column to its first
+	// maxMatches row indices in table order.
+	rows map[string][]int32
+	// nums and numOK hold a numeric column parsed once, row by row.
+	nums  []float64
+	numOK []bool
+}
+
+func (c *column) numeric() bool { return c.concept != nil && c.concept.Numeric != nil }
+
+// index builds the column's value index on first use and returns it.
+func (s *Source) index(attrID string) *column {
+	c := s.cols[attrID]
+	c.once.Do(func() {
+		if c.numeric() {
+			c.nums = make([]float64, len(s.table))
+			c.numOK = make([]bool, len(s.table))
+			for i, row := range s.table {
+				c.nums[i], c.numOK[i] = parseNumber(row[attrID])
+			}
+			return
+		}
+		c.rows = map[string][]int32{}
+		for i, row := range s.table {
+			// Empty values never match: a probe for "" selects nothing.
+			if v := row[attrID]; v != "" {
+				k := strings.ToLower(v)
+				if r := c.rows[k]; len(r) < maxMatches {
+					c.rows[k] = append(r, int32(i))
+				}
+			}
+		}
+	})
+	return c
 }
 
 // Pool is the set of sources for a dataset, with shared probe
@@ -97,23 +146,23 @@ func BuildPool(ds *schema.Dataset, dom *kb.Domain, cfg Config) *Pool {
 	for _, ifc := range ds.Interfaces {
 		s := &Source{
 			ifc:       ifc,
-			concepts:  map[string]*kb.Concept{},
+			cols:      make(map[string]*column, len(ifc.Attributes)),
 			partialOK: rng.Float64() < cfg.PartialQueryProb,
 			pool:      p,
 		}
 		for _, a := range ifc.Attributes {
-			s.concepts[a.ID] = conceptByID[a.ConceptID]
+			s.cols[a.ID] = &column{concept: conceptByID[a.ConceptID]}
 		}
-		s.table = generateTable(ifc, s.concepts, cfg.Records, rng)
+		s.table = generateTable(ifc, s.cols, cfg.Records, rng)
 		p.sources[ifc.ID] = s
 	}
 	return p
 }
 
 // Source returns the source backing the given interface ID, or nil.
+// The source set is fixed when the pool is built, so the lookup takes
+// no lock.
 func (p *Pool) Source(interfaceID string) *Source {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.sources[interfaceID]
 }
 
@@ -139,14 +188,17 @@ func (p *Pool) ResetAccounting() {
 	p.virtualTime = 0
 }
 
-func (p *Pool) charge(sourceID, key string) {
+// charge accounts one probe of attrID = value on sourceID. Its
+// simulated latency hashes the key "sourceID|attrID|value".
+func (p *Pool) charge(sourceID, attrID, value string) {
+	lat := p.cfg.MinLatency
+	if span := p.cfg.MaxLatency - p.cfg.MinLatency; span > 0 {
+		h := hashAppend(hashAppend(hashAppend(hashAppend(hashAppend(fnvOffset, sourceID), "|"), attrID), "|"), value)
+		lat += time.Duration(int64(h) % int64(span))
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.queries++
-	lat := p.cfg.MinLatency
-	if span := p.cfg.MaxLatency - p.cfg.MinLatency; span > 0 {
-		lat += time.Duration(int64(hash32(key)) % int64(span))
-	}
 	p.virtualTime += lat
 	p.mProbes.With(sourceID).Inc()
 	p.mLatency.Observe(lat.Seconds())
@@ -155,12 +207,12 @@ func (p *Pool) charge(sourceID, key string) {
 // generateTable samples Records rows; each row assigns every attribute a
 // value from its concept's full vocabulary (sources hold data well
 // beyond what their interfaces show as predefined options).
-func generateTable(ifc *schema.Interface, concepts map[string]*kb.Concept, n int, rng *rand.Rand) []map[string]string {
+func generateTable(ifc *schema.Interface, cols map[string]*column, n int, rng *rand.Rand) []map[string]string {
 	rows := make([]map[string]string, n)
 	// Pre-render numeric pools once per attribute.
 	pools := map[string][]string{}
 	for _, a := range ifc.Attributes {
-		c := concepts[a.ID]
+		c := cols[a.ID].concept
 		if c == nil {
 			continue
 		}
@@ -189,7 +241,7 @@ func generateTable(ifc *schema.Interface, concepts map[string]*kb.Concept, n int
 // response page. It implements the "Formulate and Submit a Query" step
 // of Section 4.
 func (s *Source) Probe(attrID, value string) string {
-	s.pool.charge(s.ifc.ID, s.ifc.ID+"|"+attrID+"|"+value)
+	s.pool.charge(s.ifc.ID, attrID, value)
 
 	attr := s.ifc.AttributeByID(attrID)
 	if attr == nil {
@@ -203,7 +255,8 @@ func (s *Source) Probe(attrID, value string) string {
 	if attr.HasInstances() && !containsFold(attr.Instances, value) {
 		return renderError("invalid selection for " + attr.Label)
 	}
-	matches := s.match(attrID, value)
+	var buf [maxMatches]int32
+	matches := s.match(attrID, value, buf[:0])
 	if len(matches) == 0 {
 		return renderError("sorry, no results were found matching your search")
 	}
@@ -211,20 +264,23 @@ func (s *Source) Probe(attrID, value string) string {
 }
 
 // match selects backing rows whose value for attrID matches the probe
-// value. String attributes match case-insensitively; numeric attributes
-// act as range filters accepting any parseable value within the
-// concept's range.
-func (s *Source) match(attrID, value string) []map[string]string {
-	c := s.concepts[attrID]
-	if c != nil && c.Numeric != nil {
+// value, returning their indices: the first maxMatches in table order.
+// String attributes match case-insensitively; numeric attributes act as
+// range filters accepting any parseable value within the concept's
+// range. Numeric matches are appended to buf; string matches are the
+// column index's own slice, which callers must not modify.
+func (s *Source) match(attrID, value string, buf []int32) []int32 {
+	c := s.index(attrID)
+	if c.numeric() {
 		v, ok := parseNumber(value)
 		if !ok {
 			return nil
 		}
-		lo, hi := float64(c.Numeric.Min), float64(c.Numeric.Max)
-		if c.Numeric.Decimals > 0 {
+		num := c.concept.Numeric
+		lo, hi := float64(num.Min), float64(num.Max)
+		if num.Decimals > 0 {
 			scale := 1.0
-			for i := 0; i < c.Numeric.Decimals; i++ {
+			for i := 0; i < num.Decimals; i++ {
 				scale *= 10
 			}
 			lo, hi = lo/scale, hi/scale
@@ -234,47 +290,45 @@ func (s *Source) match(attrID, value string) []map[string]string {
 		}
 		// A numeric filter inside the range selects roughly the rows at
 		// or below the value (max-style filters dominate interfaces).
-		var out []map[string]string
-		for _, row := range s.table {
-			rv, ok := parseNumber(row[attrID])
-			if ok && rv <= v {
-				out = append(out, row)
-				if len(out) >= 10 {
+		for i, rv := range c.nums {
+			if c.numOK[i] && rv <= v {
+				buf = append(buf, int32(i))
+				if len(buf) >= maxMatches {
 					break
 				}
 			}
 		}
-		return out
+		return buf
 	}
-	want := strings.ToLower(strings.TrimSpace(value))
-	if want == "" {
+	var lower [64]byte
+	want := nlp.AppendLower(lower[:0], strings.TrimSpace(value))
+	if len(want) == 0 {
 		return nil
 	}
-	var out []map[string]string
-	for _, row := range s.table {
-		if strings.ToLower(row[attrID]) == want {
-			out = append(out, row)
-			if len(out) >= 10 {
-				break
-			}
-		}
-	}
-	return out
+	return c.rows[string(want)]
 }
 
-// renderResults renders a result page listing matched records.
-func (s *Source) renderResults(rows []map[string]string) string {
+// renderResults renders a result page listing the matched records.
+func (s *Source) renderResults(rows []int32) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "<html><title>%s results</title><body>", s.ifc.Source)
-	fmt.Fprintf(&b, "<p>Found %d results matching your search.</p><ul>", len(rows))
-	for i, row := range rows {
+	b.Grow(1024)
+	b.WriteString("<html><title>")
+	b.WriteString(s.ifc.Source)
+	b.WriteString(" results</title><body><p>Found ")
+	b.WriteString(strconv.Itoa(len(rows)))
+	b.WriteString(" results matching your search.</p><ul>")
+	for i, r := range rows {
 		if i >= 5 {
 			break
 		}
 		b.WriteString("<li>")
+		row := s.table[r]
 		for _, a := range s.ifc.Attributes {
 			if v := row[a.ID]; v != "" {
-				fmt.Fprintf(&b, "%s: %s; ", a.Label, v)
+				b.WriteString(a.Label)
+				b.WriteString(": ")
+				b.WriteString(v)
+				b.WriteString("; ")
 			}
 		}
 		b.WriteString("</li>")
@@ -321,8 +375,14 @@ func parseNumber(s string) (float64, bool) {
 	return v, err == nil
 }
 
-func hash32(s string) uint32 {
-	var h uint32 = 2166136261
+// hash32 is 32-bit FNV-1a.
+func hash32(s string) uint32 { return hashAppend(fnvOffset, s) }
+
+const fnvOffset uint32 = 2166136261
+
+// hashAppend continues an FNV-1a hash h over s, so hashing the parts
+// of a key in turn equals hashing their concatenation.
+func hashAppend(h uint32, s string) uint32 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
 		h *= 16777619

@@ -10,8 +10,8 @@ import (
 // an attribute before comparing it to another: the inferred value type,
 // the interned folded value set (month-normalized for dates), and the
 // numeric range. Profiling each attribute once turns the matrix build's
-// per-pair type inference and set folding — the regexp-heavy part —
-// into a linear precomputation with bitwise-identical similarities.
+// per-pair type inference and set folding into a linear precomputation
+// with bitwise-identical similarities.
 // Values are folded once into term IDs of a table shared across the
 // Match call, so the O(n²) pairwise overlaps compare integers.
 type attrProfile struct {

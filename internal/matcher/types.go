@@ -7,7 +7,6 @@
 package matcher
 
 import (
-	"regexp"
 	"strconv"
 	"strings"
 
@@ -44,12 +43,6 @@ func (t ValueType) String() string {
 	}
 }
 
-var (
-	monetaryRe = regexp.MustCompile(`^\$\s?\d{1,3}(,\d{3})*(\.\d+)?$|^\$\s?\d+(\.\d+)?$`)
-	integerRe  = regexp.MustCompile(`^\d{1,3}(,\d{3})+$|^\d+$`)
-	realValRe  = regexp.MustCompile(`^\d+\.\d+$`)
-)
-
 var monthNames = map[string]string{
 	"january": "jan", "february": "feb", "march": "mar", "april": "apr",
 	"may": "may", "june": "jun", "july": "jul", "august": "aug",
@@ -63,12 +56,12 @@ var monthNames = map[string]string{
 // classifyValue types a single value.
 func classifyValue(v string) ValueType {
 	v = strings.TrimSpace(v)
-	switch {
-	case monetaryRe.MatchString(v):
+	switch sim.ScanNumber(v) {
+	case sim.Money:
 		return TypeMonetary
-	case realValRe.MatchString(v):
+	case sim.Real:
 		return TypeReal
-	case integerRe.MatchString(v):
+	case sim.Integer:
 		return TypeInteger
 	}
 	if _, ok := monthNames[strings.ToLower(v)]; ok {
@@ -77,7 +70,7 @@ func classifyValue(v string) ValueType {
 	// "Jan 15"-style values.
 	fields := strings.Fields(strings.ToLower(v))
 	if len(fields) == 2 {
-		if _, ok := monthNames[fields[0]]; ok && integerRe.MatchString(fields[1]) {
+		if _, ok := monthNames[fields[0]]; ok && sim.ScanNumber(fields[1]) == sim.Integer {
 			return TypeDate
 		}
 	}

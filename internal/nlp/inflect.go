@@ -142,6 +142,12 @@ func LooksPlural(word string) bool {
 	if invariantNouns[lower] {
 		return true
 	}
+	return looksRegularPlural(lower)
+}
+
+// looksRegularPlural is LooksPlural's suffix rule for a lower-case word
+// on neither the irregular nor the invariant list.
+func looksRegularPlural(lower string) bool {
 	if strings.HasSuffix(lower, "ss") || strings.HasSuffix(lower, "us") || strings.HasSuffix(lower, "is") {
 		return false
 	}

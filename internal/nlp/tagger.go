@@ -103,15 +103,45 @@ func initialTag(t Token) Tag {
 	case Punct:
 		return SYM
 	}
-	if tags := lexicon[t.Norm]; len(tags) > 0 {
-		return tags[0]
+	info := wordInfo[t.Norm]
+	if len(info.tags) > 0 {
+		return info.tags[0]
 	}
-	return morphTag(t)
+	return morphTag(t, info.plural)
 }
 
+// wordFacts is what initial tagging knows about a lower-case word: its
+// lexicon tags, and whether LooksPlural holds for it by the irregular
+// or invariant noun lists rather than by its suffix.
+type wordFacts struct {
+	tags   []Tag
+	plural bool
+}
+
+// wordInfo merges the lexicon and the plural-noun lists, so initial
+// tagging looks a word up once.
+var wordInfo = func() map[string]wordFacts {
+	m := make(map[string]wordFacts, len(lexicon)+len(irregularPlurals)+len(invariantNouns))
+	for w, tags := range lexicon {
+		m[w] = wordFacts{tags: tags}
+	}
+	for _, p := range irregularPlurals {
+		f := m[p]
+		f.plural = true
+		m[p] = f
+	}
+	for w := range invariantNouns {
+		f := m[w]
+		f.plural = true
+		m[w] = f
+	}
+	return m
+}()
+
 // morphTag guesses the tag of an out-of-lexicon word from its shape, in
-// the manner of Brill's lexical rules.
-func morphTag(t Token) Tag {
+// the manner of Brill's lexical rules. listedPlural reports that the
+// word is an irregular plural or an invariant noun.
+func morphTag(t Token, listedPlural bool) Tag {
 	w := t.Norm
 	switch {
 	case strings.HasSuffix(w, "ly") && len(w) > 3:
@@ -124,7 +154,7 @@ func morphTag(t Token) Tag {
 		strings.HasSuffix(w, "ive") || strings.HasSuffix(w, "able") ||
 		strings.HasSuffix(w, "ible") || strings.HasSuffix(w, "al") && len(w) > 4:
 		return JJ
-	case LooksPlural(w):
+	case listedPlural || looksRegularPlural(w):
 		return NNS
 	case t.IsCapitalized():
 		return NNP

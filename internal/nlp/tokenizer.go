@@ -179,6 +179,29 @@ func Tokenize(text string) []Token {
 	return tokens
 }
 
+// AppendLower appends strings.ToLower(s) to dst and returns the
+// extended slice, without allocating a string. The bytes are exactly
+// strings.ToLower's, including the U+FFFD that replaces each invalid
+// UTF-8 byte, because lowered values key maps and lookups whose
+// results the determinism tests pin.
+func AppendLower(dst []byte, s string) []byte {
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			dst = append(dst, c)
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+		i += w
+	}
+	return dst
+}
+
 // isDigitAt reports whether the rune starting at byte i is a digit.
 func isDigitAt(s string, i int) bool {
 	r, _ := utf8.DecodeRuneInString(s[i:])

@@ -2,8 +2,9 @@ package sim
 
 import (
 	"strings"
-	"unicode"
 	"unicode/utf8"
+
+	"webiq/internal/nlp"
 )
 
 // fold normalizes a value for comparison: trimmed of surrounding space
@@ -18,22 +19,7 @@ func fold(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
 // values feed maps and engine queries whose behavior is pinned by the
 // determinism tests.
 func foldAppend(dst []byte, s string) []byte {
-	s = strings.TrimSpace(s)
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			dst = append(dst, c)
-			i++
-			continue
-		}
-		r, w := utf8.DecodeRuneInString(s[i:])
-		dst = utf8.AppendRune(dst, unicode.ToLower(r))
-		i += w
-	}
-	return dst
+	return nlp.AppendLower(dst, strings.TrimSpace(s))
 }
 
 // isASCII reports whether b contains only ASCII bytes.

@@ -7,7 +7,7 @@ import "unicode/utf8"
 // compare every value of one list against every value of another
 // (borrow-donor selection is the hot case) fold each side once instead
 // of once per pair, and the precomputed rune counts make the
-// length-difference cut of EditSimAtLeastFolded O(1).
+// length-difference cut of EditScratch.SimAtLeastFolded O(1).
 type FoldedList struct {
 	arena []byte
 	offs  []int
@@ -38,13 +38,16 @@ func (fl *FoldedList) At(i int) []byte { return fl.arena[fl.offs[i]:fl.offs[i+1]
 // Runes returns the rune count of the i-th folded value.
 func (fl *FoldedList) Runes(i int) int { return fl.runes[i] }
 
-// EditSimAtLeastFolded is EditSimAtLeast over pre-folded values: it
-// returns exactly EditSimAtLeast(a, b, t) when fa = fold(a) with rune
-// count la and fb = fold(b) with rune count lb (as produced by
-// FoldedList).
-func EditSimAtLeastFolded(fa []byte, la int, fb []byte, lb int, t float64) bool {
-	sc := editPool.Get().(*editScratch)
-	ok := sc.foldedSimAtLeast(fa, la, fb, lb, t)
-	editPool.Put(sc)
-	return ok
+// EditScratch holds the edit-distance buffers of a caller that runs
+// many comparisons in a row — borrow-donor selection scans every value
+// pair of two lists — so the whole scan shares one scratch instead of
+// taking one from the pool per pair. The zero value is ready to use; a
+// scratch is not safe for concurrent use.
+type EditScratch struct{ sc editScratch }
+
+// SimAtLeastFolded is EditSimAtLeast over pre-folded values: it returns
+// exactly EditSimAtLeast(a, b, t) when fa = fold(a) with rune count la
+// and fb = fold(b) with rune count lb (as produced by FoldedList).
+func (e *EditScratch) SimAtLeastFolded(fa []byte, la int, fb []byte, lb int, t float64) bool {
+	return e.sc.foldedSimAtLeast(fa, la, fb, lb, t)
 }

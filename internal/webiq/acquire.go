@@ -1,7 +1,6 @@
 package webiq
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -11,7 +10,6 @@ import (
 	"webiq/internal/obs"
 	"webiq/internal/resilience"
 	"webiq/internal/schema"
-	"webiq/internal/sim"
 )
 
 // Components selects which WebIQ components the Acquirer applies; the
@@ -198,6 +196,7 @@ func (a *Acquirer) AcquireAllCtx(ctx context.Context, ds *schema.Dataset) *Repor
 	all.Label("domain", ds.Domain)
 	ctx, sink := a.newDegradeCtx(ctx)
 	rep := &Report{}
+	ix := newAttrIndex()
 	var pre map[string][]string
 	if a.cfg.Parallelism > 1 && a.enabled.Surface && a.surface != nil {
 		pre = a.parallelSurface(ctx, ds, rep)
@@ -209,7 +208,7 @@ loop:
 				rep.Interrupted = err
 				break loop
 			}
-			out := a.acquireOne(ctx, rep, ds, ifc, attr, pre)
+			out := a.acquireOne(ctx, rep, ix, ds, ifc, attr, pre)
 			rep.Outcomes = append(rep.Outcomes, out)
 			switch {
 			case out.HadInstances:
@@ -291,8 +290,9 @@ func readClock(probe func() (time.Duration, int)) (time.Duration, int) {
 
 // acquireOne applies the Section-5 policy to a single attribute. When
 // pre is non-nil it holds precomputed Surface discovery results (from
-// the parallel phase) keyed by attribute ID.
-func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ds *schema.Dataset, ifc *schema.Interface, attr *schema.Attribute, pre map[string][]string) Outcome {
+// the parallel phase) keyed by attribute ID. ix is the run's attribute
+// index; every value appended to an attribute goes through it.
+func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ix *attrIndex, ds *schema.Dataset, ifc *schema.Interface, attr *schema.Attribute, pre map[string][]string) Outcome {
 	out := Outcome{AttrID: attr.ID, Label: attr.Label, HadInstances: attr.HasInstances()}
 
 	if !attr.HasInstances() {
@@ -310,7 +310,7 @@ func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ds *schema.Datas
 				rep.SurfaceQueries += q1 - q0
 				a.endComponent(sp, "surface", t1-t0, q1-q0)
 			}
-			added := addAcquired(attr, got, a.cfg.MaxAcquired)
+			added := ix.addAcquired(attr, got, a.cfg.MaxAcquired)
 			if len(got) > 0 {
 				out.Methods = append(out.Methods, MethodSurface)
 				a.mInstances.With("surface").Add(float64(added))
@@ -326,7 +326,7 @@ func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ds *schema.Datas
 		if len(attr.Acquired) < a.cfg.K && a.enabled.AttrDeep && a.attrDeep != nil {
 			spCtx, sp := a.componentSpanCtx(ctx, "attr-deep", attr.ID, attr.Label)
 			t0, q0 := readClock(a.deepClock)
-			donors := a.borrowDonorsFreeText(ds, ifc, attr)
+			donors := a.freeTextDonors(ix, ds, ifc, attr)
 			a.trace(Event{Kind: "borrow-deep", AttrID: attr.ID, Label: attr.Label,
 				Detail: fmt.Sprintf("%d candidate donors", len(donors)), Count: len(donors)})
 			for _, donor := range donors {
@@ -338,7 +338,7 @@ func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ds *schema.Datas
 				if !ok {
 					continue
 				}
-				added := addAcquired(attr, vals, a.cfg.MaxAcquired)
+				added := ix.addAcquired(attr, vals, a.cfg.MaxAcquired)
 				a.mInstances.With("attr-deep").Add(float64(added))
 				if added > 0 && !hasMethod(out.Methods, MethodAttrDeep) {
 					out.Methods = append(out.Methods, MethodAttrDeep)
@@ -372,7 +372,7 @@ func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ds *schema.Datas
 		rep.SurfaceTime += t1 - t0
 		rep.SurfaceQueries += q1 - q0
 		a.endComponent(sp, "surface", t1-t0, q1-q0)
-		if added := addAcquired(attr, got, a.cfg.MaxAcquired); added > 0 {
+		if added := ix.addAcquired(attr, got, a.cfg.MaxAcquired); added > 0 {
 			out.Methods = append(out.Methods, MethodSurface)
 			a.mInstances.With("surface").Add(float64(added))
 		}
@@ -383,7 +383,7 @@ func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ds *schema.Datas
 	// the source would reject values outside the predefined list, so
 	// Attr-Deep is not applicable.
 	if a.enabled.AttrSurface && a.attrSurface != nil {
-		borrowed := a.borrowValuesPredef(ds, ifc, attr)
+		borrowed := a.predefBorrowed(ix, ds, ifc, attr)
 		if len(borrowed) > 0 {
 			a.mBorrowed.With("attr-surface").Add(float64(len(borrowed)))
 			spCtx, sp := a.componentSpanCtx(ctx, "attr-surface", attr.ID, attr.Label)
@@ -395,7 +395,7 @@ func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ds *schema.Datas
 			rep.AttrSurfaceTime += t1 - t0
 			rep.AttrSurfaceQueries += q1 - q0
 			a.endComponent(sp, "attr-surface", t1-t0, q1-q0)
-			added := addAcquired(attr, accepted, a.cfg.MaxAcquired)
+			added := ix.addAcquired(attr, accepted, a.cfg.MaxAcquired)
 			a.mInstances.With("attr-surface").Add(float64(added))
 			if added > 0 {
 				out.Methods = append(out.Methods, MethodAttrSurface)
@@ -417,30 +417,31 @@ func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ds *schema.Datas
 	return out
 }
 
-// borrowDonorsFreeText selects donor attributes for Step 1.b: attributes
+// freeTextDonors selects donor attributes for Step 1.b: attributes
 // on other interfaces that carry instances, whose labels are similar to
 // X1's, and whose domains differ from every predefined-value attribute Y
 // on X1's interface (if Y had a similar domain, X1 would likely have
 // been predefined too). Donors are ordered by label similarity.
-func (a *Acquirer) borrowDonorsFreeText(ds *schema.Dataset, ifc *schema.Interface, attr *schema.Attribute) []*schema.Attribute {
+func (a *Acquirer) freeTextDonors(ix *attrIndex, ds *schema.Dataset, ifc *schema.Interface, attr *schema.Attribute) []*schema.Attribute {
 	type scored struct {
 		attr *schema.Attribute
 		sim  float64
 	}
+	vec := ix.entry(attr).vec
 	var donors []scored
 	for _, other := range ds.Interfaces {
 		if other.ID == ifc.ID {
 			continue
 		}
 		for _, cand := range other.Attributes {
-			if len(cand.AllInstances()) == 0 {
+			if len(cand.Instances)+len(cand.Acquired) == 0 {
 				continue
 			}
-			ls := sim.LabelSim(attr.Label, cand.Label)
+			ls := vec.Cosine(ix.entry(cand).vec)
 			if ls < a.cfg.BorrowLabelSim {
 				continue
 			}
-			if a.domainMatchesSibling(ifc, attr, cand) {
+			if siblingOverlaps(ix, ifc, attr, ix.all(cand)) {
 				continue
 			}
 			donors = append(donors, scored{cand, ls})
@@ -459,27 +460,27 @@ func (a *Acquirer) borrowDonorsFreeText(ds *schema.Dataset, ifc *schema.Interfac
 	return out
 }
 
-// domainMatchesSibling reports whether the candidate donor's domain
-// overlaps the domain of some predefined-value sibling of attr — the
-// exclusion condition of Section 5, case 1.
-func (a *Acquirer) domainMatchesSibling(ifc *schema.Interface, attr *schema.Attribute, cand *schema.Attribute) bool {
+// siblingOverlaps reports whether the candidate donor's domain
+// (cand, all its instances) overlaps the domain of some predefined-value
+// sibling of attr — the exclusion condition of Section 5, case 1.
+func siblingOverlaps(ix *attrIndex, ifc *schema.Interface, attr *schema.Attribute, cand *valueForms) bool {
 	for _, y := range ifc.Attributes {
 		if y.ID == attr.ID || !y.HasInstances() {
 			continue
 		}
-		if sim.ValueOverlap(cand.AllInstances(), y.Instances) >= 0.3 {
+		if overlap(cand, ix.instances(y)) >= 0.3 {
 			return true
 		}
 	}
 	return false
 }
 
-// borrowValuesPredef collects values to borrow for a predefined-value
+// predefBorrowed collects values to borrow for a predefined-value
 // attribute (Step 2): from attributes on other interfaces sharing at
 // least BorrowValueMatches very similar values, take the values X1 does
 // not already list.
-func (a *Acquirer) borrowValuesPredef(ds *schema.Dataset, ifc *schema.Interface, attr *schema.Attribute) []string {
-	out := a.collectBorrowValues(ds, ifc, attr, true)
+func (a *Acquirer) predefBorrowed(ix *attrIndex, ds *schema.Dataset, ifc *schema.Interface, attr *schema.Attribute) []string {
+	out := a.borrowCandidates(ix, ds, ifc, attr, true)
 	if len(out) == 0 {
 		// No value-compatible donor exists (the Figure-1 situation:
 		// Airline's NA list shares nothing with Carrier's EU list). Fall
@@ -487,7 +488,7 @@ func (a *Acquirer) borrowValuesPredef(ds *schema.Dataset, ifc *schema.Interface,
 		// validation-based classifier decide membership — Section 3's
 		// example borrows Aer Lingus from Carrier for Airline exactly
 		// this way.
-		out = a.collectBorrowValues(ds, ifc, attr, false)
+		out = a.borrowCandidates(ix, ds, ifc, attr, false)
 	}
 	if len(out) > a.cfg.MaxAcquired {
 		out = out[:a.cfg.MaxAcquired]
@@ -495,15 +496,14 @@ func (a *Acquirer) borrowValuesPredef(ds *schema.Dataset, ifc *schema.Interface,
 	return out
 }
 
-// collectBorrowValues gathers candidate values from other interfaces'
+// borrowCandidates gathers candidate values from other interfaces'
 // attributes, optionally restricted to donors sharing at least
 // BorrowValueMatches very similar values with attr.
-func (a *Acquirer) collectBorrowValues(ds *schema.Dataset, ifc *schema.Interface, attr *schema.Attribute, requireSimilar bool) []string {
-	buf := foldBuf()
-	fv := *buf
-	have := map[string]bool{}
-	for _, v := range attr.Instances {
-		have[foldValue(v)] = true
+func (a *Acquirer) borrowCandidates(ix *attrIndex, ds *schema.Dataset, ifc *schema.Interface, attr *schema.Attribute, requireSimilar bool) []string {
+	inst := ix.instances(attr)
+	have := make(map[string]bool, len(inst.vals))
+	for i := range inst.vals {
+		have[string(inst.ascii.at(i))] = true
 	}
 	var out []string
 	seen := map[string]bool{}
@@ -512,17 +512,17 @@ func (a *Acquirer) collectBorrowValues(ds *schema.Dataset, ifc *schema.Interface
 			continue
 		}
 		for _, cand := range other.Attributes {
-			vals := cand.AllInstances()
-			if len(vals) == 0 {
+			if len(cand.Instances)+len(cand.Acquired) == 0 {
 				continue
 			}
-			if requireSimilar && !domainsVerySimilar(attr.Instances, vals, a.cfg.BorrowValueMatches) {
+			vals := ix.all(cand)
+			if requireSimilar && !ix.verySimilar(inst, vals, a.cfg.BorrowValueMatches) {
 				continue
 			}
-			for _, v := range vals {
-				// Zero-copy map probes against the folded form; a string
-				// is only allocated when the value is genuinely new.
-				fv = appendFoldValue(fv[:0], v)
+			for j, v := range vals.vals {
+				// Zero-copy map probes against the indexed ASCII fold; a
+				// string is only allocated when the value is new.
+				fv := vals.ascii.at(j)
 				if have[string(fv)] || seen[string(fv)] {
 					continue
 				}
@@ -531,119 +531,7 @@ func (a *Acquirer) collectBorrowValues(ds *schema.Dataset, ifc *schema.Interface
 			}
 		}
 	}
-	*buf = fv
-	putFoldBuf(buf)
 	return out
-}
-
-// donorSimScratch holds the pre-folded forms both similarity tests of
-// domainsVerySimilar consume: sim's fold (trim + Unicode lower) for the
-// exact-match count and the edit comparisons, and the ASCII foldValue
-// form for the distinct-fold guard. Folding each list once replaces the
-// per-pair folding that dominated borrow-donor selection.
-type donorSimScratch struct {
-	fa, fb sim.FoldedList
-	wa, wb asciiFoldList
-	ia, ib []int
-}
-
-var donorSimPool = sync.Pool{New: func() any { return new(donorSimScratch) }}
-
-// asciiFoldList is the appendFoldValue analogue of sim.FoldedList: the
-// ASCII-lowered forms of a value list in one reusable arena.
-type asciiFoldList struct {
-	arena []byte
-	offs  []int
-}
-
-func (fl *asciiFoldList) reset(vs []string) {
-	fl.arena = fl.arena[:0]
-	fl.offs = append(fl.offs[:0], 0)
-	for _, v := range vs {
-		fl.arena = appendFoldValue(fl.arena, v)
-		fl.offs = append(fl.offs, len(fl.arena))
-	}
-}
-
-func (fl *asciiFoldList) at(i int) []byte { return fl.arena[fl.offs[i]:fl.offs[i+1]] }
-
-// domainsVerySimilar reports whether at least minMatches pairs of
-// values, one from each domain, are very similar (exact fold match or
-// high edit similarity).
-func domainsVerySimilar(a, b []string, minMatches int) bool {
-	sc := donorSimPool.Get().(*donorSimScratch)
-	defer donorSimPool.Put(sc)
-	sc.fa.Reset(a)
-	sc.fb.Reset(b)
-
-	// Distinct folded values present in both lists — sim.SharedValues
-	// over the pre-folded forms, via sort-merge instead of per-call maps.
-	matches := sc.sharedFolded()
-	if matches >= minMatches {
-		return true
-	}
-	// Look for near-identical pairs beyond the exact matches. The O(n²)
-	// scan uses the thresholded comparison, which rejects dissimilar
-	// pairs (the overwhelming majority) by the precomputed rune-count
-	// cut without a full edit-distance computation or any allocation.
-	sc.wa.reset(a)
-	sc.wb.reset(b)
-	for i := range a {
-		if matches >= minMatches {
-			return true
-		}
-		for j := range b {
-			if sim.EditSimAtLeastFolded(sc.fa.At(i), sc.fa.Runes(i), sc.fb.At(j), sc.fb.Runes(j), 0.9) &&
-				!bytes.Equal(sc.wa.at(i), sc.wb.at(j)) {
-				matches++
-				break
-			}
-		}
-	}
-	return matches >= minMatches
-}
-
-// sortFoldedIdx orders idx by the folded values it indexes.
-func sortFoldedIdx(fl *sim.FoldedList, idx []int) {
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && bytes.Compare(fl.At(idx[j]), fl.At(idx[j-1])) < 0; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-}
-
-// sharedFolded counts distinct folded values present in both lists by
-// sorting index slices over the arenas and merging.
-func (sc *donorSimScratch) sharedFolded() int {
-	ia, ib := sc.ia[:0], sc.ib[:0]
-	for i := 0; i < sc.fa.Len(); i++ {
-		ia = append(ia, i)
-	}
-	for j := 0; j < sc.fb.Len(); j++ {
-		ib = append(ib, j)
-	}
-	// Insertion sort: value lists are short, and sort.Slice would
-	// allocate its reflection swapper on every call.
-	sortFoldedIdx(&sc.fa, ia)
-	sortFoldedIdx(&sc.fb, ib)
-	sc.ia, sc.ib = ia, ib
-	n := 0
-	for i, j := 0, 0; i < len(ia) && j < len(ib); {
-		va, vb := sc.fa.At(ia[i]), sc.fb.At(ib[j])
-		switch c := bytes.Compare(va, vb); {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			n++
-			for i++; i < len(ia) && bytes.Equal(sc.fa.At(ia[i]), va); i++ {
-			}
-			for j++; j < len(ib) && bytes.Equal(sc.fb.At(ib[j]), va); j++ {
-			}
-		}
-	}
-	return n
 }
 
 // nonInstances gathers values of the other attributes on the interface —

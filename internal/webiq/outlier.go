@@ -2,18 +2,18 @@ package webiq
 
 import (
 	"math"
-	"regexp"
 	"strconv"
 	"strings"
 	"unicode"
 
+	"webiq/internal/sim"
 	"webiq/internal/stats"
 )
 
 // Instance-domain typing and outlier removal, per Section 2.2 of the
 // paper: a pre-processing step determines whether the candidate domain
-// is numeric or string (majority vote with type-recognizing regular
-// expressions) and removes type mismatches; then type-specific
+// is numeric or string (majority vote with a type-recognizing number
+// scanner, sim.ScanNumber) and removes type mismatches; then type-specific
 // discordancy tests remove candidates whose test statistics lie more
 // than OutlierSigma standard deviations from the mean.
 
@@ -28,17 +28,10 @@ const (
 	NumericDomain
 )
 
-var (
-	moneyRe = regexp.MustCompile(`^\$\s?\d{1,3}(,\d{3})*(\.\d+)?$|^\$\s?\d+(\.\d+)?$`)
-	intRe   = regexp.MustCompile(`^\d{1,3}(,\d{3})+$|^\d+$`)
-	realRe  = regexp.MustCompile(`^\d+\.\d+$`)
-)
-
 // IsNumericValue reports whether a single candidate is a monetary value,
 // integer, or real number.
 func IsNumericValue(s string) bool {
-	s = strings.TrimSpace(s)
-	return moneyRe.MatchString(s) || intRe.MatchString(s) || realRe.MatchString(s)
+	return sim.ScanNumber(strings.TrimSpace(s)) != sim.NotNumber
 }
 
 // parseNumeric extracts the numeric value of a candidate.
